@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,11 +76,13 @@ type cell struct {
 	dur  time.Duration
 }
 
-// cellRun is one cell's measured outcome.
+// cellRun is one cell's measured outcome. The cell's requests are folded
+// into it as soon as the cell ends, so a pass keeps counts and latencies,
+// not a record of every request it sent.
 type cellRun struct {
 	cell
-	arr   []arrival
-	res   []result
+	sum   summary
+	spans spans // traced cells only
 	lagOK bool
 	grew  bool
 	peak  int // most requests in flight at once
@@ -95,8 +98,9 @@ type client struct {
 
 // run sends c's arrivals on schedule from one generator goroutine, each
 // request on a goroutine of its own so that a slow answer never delays a
-// later send, and waits for every answer. Latency counts from the
-// scheduled send time, so a generator stall shows as latency and as lag.
+// later send, waits for every answer and folds them into the cell's
+// outcome. Latency counts from the scheduled send time, so a generator
+// stall shows as latency and as lag.
 func (d *client) run(c cell, arr []arrival) cellRun {
 	res := make([]result, len(arr))
 	inflightAt := make([]int, len(arr))
@@ -114,23 +118,29 @@ func (d *client) run(c cell, arr []arrival) cellRun {
 		}(&arr[i], &res[i])
 	}
 	wg.Wait()
-	run := cellRun{cell: c, arr: arr, res: res, grew: backlogGrew(inflightAt, c.rate*d.w.limit.Seconds())}
-	lags := make([]time.Duration, len(res))
-	for i := range res {
-		lags[i] = res[i].lag
-		run.peak = max(run.peak, inflightAt[i])
+	run := cellRun{
+		cell: c,
+		sum:  d.tally(arr, res),
+		grew: backlogGrew(inflightAt, c.rate*d.w.limit.Seconds()),
 	}
-	run.lagOK = lagValid(lags, d.allowedLag())
-	d.describe(run, lags)
+	if d.traced {
+		run.spans = d.spansOf(arr, res)
+	}
+	for _, n := range inflightAt {
+		run.peak = max(run.peak, n)
+	}
+	run.lagOK = lagValid(run.sum.lags, d.allowedLag())
+	d.describe(run)
 	return run
 }
 
 // describe prints one line per cell, for a reader of the output.
-func (d *client) describe(run cellRun, lags []time.Duration) {
-	s := d.summarize(run)
-	ms := func(ds []time.Duration, q float64) float64 { return quantile(ds, q) * 1e3 }
+func (d *client) describe(run cellRun) {
+	s := run.sum
+	lag := func(q float64) float64 { return quantile(s.lags, q) * 1e3 }
+	lat := func(q float64) float64 { v, _ := d.legitMS(s.legitLat, q); return v }
 	fmt.Printf("# %-7s %7.0f req/s sent %6d  lag p50/p99 %6.3f/%6.3f ms  legit p50/p99 %7.3f/%7.3f ms  fail %.4f  peak %d\n",
-		run.name, run.rate, len(run.res), ms(lags, 0.5), ms(lags, 0.99), ms(s.legitLat, 0.5), ms(s.legitLat, 0.99), s.failShare(), run.peak)
+		run.name, run.rate, s.sent, lag(0.5), lag(0.99), lat(0.5), lat(0.99), s.failShare(), run.peak)
 }
 
 // allowedLag is how late the generator may run at the median before a
@@ -184,7 +194,7 @@ func waitUntil(t time.Time) {
 
 const spinSlack = 1500 * time.Microsecond
 
-// summary is the client-side accounting of a set of cells.
+// summary is the client-side accounting of a set of requests.
 type summary struct {
 	sent, legit, legitFailed, legitGood, good, wrong int
 	refused, rewound, crashed                        int
@@ -193,46 +203,74 @@ type summary struct {
 	lags                                             []time.Duration
 }
 
-func (d *client) summarize(runs ...cellRun) summary {
+// tally folds one cell's requests and what the client saw of them.
+func (d *client) tally(arr []arrival, res []result) summary {
+	var s summary
+	for i, r := range res {
+		s.sent++
+		s.lags = append(s.lags, r.lag)
+		switch r.verdict {
+		case good:
+			s.good++
+		case wrong:
+			s.wrong++
+			if len(s.wrongReplies) < 3 {
+				s.wrongReplies = append(s.wrongReplies, r.wrong)
+			}
+		case refused:
+			s.refused++
+		}
+		if r.submitted && r.outcome == fo.OutcomeRewound {
+			s.rewound++
+		}
+		if r.submitted && r.outcome.Crashed() {
+			s.crashed++
+		}
+		if d.w.classes[arr[i].class].attack() {
+			continue
+		}
+		s.legit++
+		if r.verdict == good {
+			s.legitGood++
+			s.legitLat = append(s.legitLat, r.lat)
+			continue
+		}
+		// A late answer missed its deadline: it counts as timed out.
+		s.legitFailed++
+		s.legitLat = append(s.legitLat, failed)
+	}
+	slices.Sort(s.legitLat)
+	return s
+}
+
+// summarize merges the accounting of several cells.
+func summarize(runs ...cellRun) summary {
 	var s summary
 	for _, run := range runs {
-		for i, r := range run.res {
-			c := d.w.classes[run.arr[i].class]
-			s.sent++
-			s.lags = append(s.lags, r.lag)
-			switch r.verdict {
-			case good:
-				s.good++
-			case wrong:
-				s.wrong++
-				if len(s.wrongReplies) < 3 {
-					s.wrongReplies = append(s.wrongReplies, r.wrong)
-				}
-			case refused:
-				s.refused++
-			}
-			if r.submitted && r.outcome == fo.OutcomeRewound {
-				s.rewound++
-			}
-			if r.submitted && r.outcome.Crashed() {
-				s.crashed++
-			}
-			if c.attack() {
-				continue
-			}
-			s.legit++
-			if r.verdict == good {
-				s.legitGood++
-				s.legitLat = append(s.legitLat, r.lat)
-				continue
-			}
-			// A late answer missed its deadline: it counts as timed out.
-			s.legitFailed++
-			s.legitLat = append(s.legitLat, failed)
+		s.add(run.sum)
+	}
+	slices.Sort(s.legitLat)
+	return s
+}
+
+// add merges o into s; s.legitLat is left unsorted.
+func (s *summary) add(o summary) {
+	s.sent += o.sent
+	s.legit += o.legit
+	s.legitFailed += o.legitFailed
+	s.legitGood += o.legitGood
+	s.good += o.good
+	s.wrong += o.wrong
+	s.refused += o.refused
+	s.rewound += o.rewound
+	s.crashed += o.crashed
+	for _, w := range o.wrongReplies {
+		if len(s.wrongReplies) < 3 {
+			s.wrongReplies = append(s.wrongReplies, w)
 		}
 	}
-	s.legitLat = sortedCopy(s.legitLat)
-	return s
+	s.legitLat = append(s.legitLat, o.legitLat...)
+	s.lags = append(s.lags, o.lags...)
 }
 
 func (s summary) failShare() float64 {
@@ -247,7 +285,7 @@ func (s summary) failShare() float64 {
 // (failures counted as missing the limit) is within the latency limit, the
 // failed share within its limit, and the backlog did not grow.
 func (d *client) sustains(rung []cellRun) (bool, string) {
-	s := d.summarize(rung...)
+	s := summarize(rung...)
 	p99, ok := percentile(s.legitLat, 0.99)
 	for _, run := range rung {
 		switch {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"focc/fo"
 	"focc/fo/srv"
 	"focc/internal/interp"
 	"focc/internal/servers/registry"
@@ -132,32 +131,21 @@ func servingAllocs(w workload, inst map[string]instanceCost) (float64, error) {
 func layerMetrics(w workload, d *client, tr, plain passResult, compile, lower time.Duration,
 	costs map[string]instanceCost, serveAllocs float64) []metric {
 	runs := tr.measured()
-	s := d.summarize(runs...)
-	var pre, post, self []time.Duration
+	s := summarize(runs...)
+	// Spans come from the low and high cells, where queues stay short, so
+	// they show each layer's own cost rather than time spent queued at the
+	// ladder and overload rates. Busy shares cover every measured cell.
+	var sp spans
+	for _, run := range append(tr.valid("low"), tr.valid("high")...) {
+		sp.add(run.spans)
+	}
 	var busy time.Duration
-	handle := map[string][]time.Duration{}
 	for _, run := range runs {
-		for i, r := range run.res {
-			if r.handleEnd == 0 {
-				continue // never reached an instance
-			}
-			h := r.handleEnd - r.handleStart
-			busy += h
-			key := w.classes[run.arr[i].class].key
-			handle[key] = append(handle[key], h)
-			if r.outcome == fo.OutcomeRewound {
-				handle["rewound"] = append(handle["rewound"], h)
-			} else if r.outcome == fo.OutcomeOK {
-				handle["commit"] = append(handle["commit"], h)
-			}
-			pre = append(pre, r.handleStart-r.submitStart)
-			post = append(post, r.submitEnd-r.handleEnd)
-			self = append(self, selfTime(r.submitStart, r.submitEnd, r.handleStart, r.handleEnd))
-		}
+		busy += run.spans.busy
 	}
 	var spawnBusy time.Duration
-	for _, sp := range tr.spawns {
-		spawnBusy += sp
+	for _, t := range tr.spawns {
+		spawnBusy += t
 	}
 	capacity := float64(workers) * tr.wall.Seconds()
 	peak := 0
@@ -177,12 +165,12 @@ func layerMetrics(w workload, d *client, tr, plain passResult, compile, lower ti
 	}
 	for _, key := range classKeys {
 		m = append(m,
-			metric{"instance.handle_us_p50." + key, us(handle[key], 0.5), "us"},
-			metric{"instance.handle_us_p99." + key, us(handle[key], 0.99), "us"})
+			metric{"instance.handle_us_p50." + key, us(sp.handle[key], 0.5), "us"},
+			metric{"instance.handle_us_p99." + key, us(sp.handle[key], 0.99), "us"})
 	}
 	m = append(m,
-		metric{"instance.handle_us_p50.commit", us(handle["commit"], 0.5), "us"},
-		metric{"instance.handle_us_p50.rewound", us(handle["rewound"], 0.5), "us"},
+		metric{"instance.handle_us_p50.commit", us(sp.handle["commit"], 0.5), "us"},
+		metric{"instance.handle_us_p50.rewound", us(sp.handle["rewound"], 0.5), "us"},
 		metric{"instance.busy_share", busy.Seconds() / capacity, "ratio"})
 	for _, key := range classKeys {
 		c := costs[key]
@@ -191,19 +179,12 @@ func layerMetrics(w workload, d *client, tr, plain passResult, compile, lower ti
 			metric{"instance.allocs." + key, c.allocs, "count"},
 			metric{"instance.events." + key, c.events, "count"})
 	}
-	batch := 0.0
-	if tr.stats.Batches > 0 {
-		batch = float64(tr.stats.Served) / float64(tr.stats.Batches)
-	}
-	plainBatch := 0.0
-	if plain.stats.Batches > 0 {
-		plainBatch = float64(plain.stats.Served) / float64(plain.stats.Batches)
-	}
+	batch := batchSize(tr.stats)
 	m = append(m,
-		metric{"serve.pre_us_p50", us(pre, 0.5), "us"},
-		metric{"serve.pre_us_p99", us(pre, 0.99), "us"},
-		metric{"serve.post_us_p50", us(post, 0.5), "us"},
-		metric{"serve.self_us_p50", us(self, 0.5), "us"},
+		metric{"serve.pre_us_p50", us(sp.pre, 0.5), "us"},
+		metric{"serve.pre_us_p99", us(sp.pre, 0.99), "us"},
+		metric{"serve.post_us_p50", us(sp.post, 0.5), "us"},
+		metric{"serve.self_us_p50", us(sp.self, 0.5), "us"},
 		metric{"serve.allocs_per_req", serveAllocs, "count"},
 		metric{"serve.batch_size_mean", batch, "count"},
 		metric{"serve.refused_share", float64(s.refused) / float64(s.sent), "ratio"},
@@ -215,48 +196,35 @@ func layerMetrics(w workload, d *client, tr, plain passResult, compile, lower ti
 		metric{"telemetry.scrape_us_p99", us(tr.scrapes, 0.99), "us"},
 		metric{"go.gc_cpu_share", tr.gcCPUShare, "ratio"},
 		metric{"go.heap_peak_mb", float64(tr.heapPeak) / (1 << 20), "MB"},
-		metric{"fail_share", d.summarize(append(plain.of("low"), plain.of("high")...)...).failShare(), "ratio"},
-		// Tail latency is an outcome, measured untraced, but too unsteady
-		// between runs on a shared two-CPU host to serve as a bounded gate.
-		metric{"p99_ms.low", d.pooledMS(plain.of("low"), 0.99), "ms"},
-		metric{"p99_ms.high", d.pooledMS(plain.of("high"), 0.99), "ms"},
+		metric{"fail_share", summarize(append(plain.valid("low"), plain.valid("high")...)...).failShare(), "ratio"},
+		// Latency at fixed rates and the sustained rate are outcomes,
+		// measured untraced, but too unsteady between runs on a shared
+		// two-CPU host to serve as bounded gates: the host's speed shifts by
+		// tens of percent over minutes, sub-millisecond medians follow it,
+		// and the rate at which p99 crosses the limit moves further still.
+		metric{"sustained_rps", d.sustained(plain), "1/s"},
+		metric{"p50_ms.low", d.latencyMS(plain.valid("low"), 0.5), "ms"},
+		metric{"p50_ms.high", d.latencyMS(plain.valid("high"), 0.5), "ms"},
+		metric{"p99_ms.low", d.pooledMS(plain.valid("low"), 0.99), "ms"},
+		metric{"p99_ms.high", d.pooledMS(plain.valid("high"), 0.99), "ms"},
 		metric{"trace.overhead_share", overhead(d, tr, plain), "ratio"},
-		metric{"trace.batch_size_ratio", ratio(batch, plainBatch), "ratio"},
+		metric{"trace.batch_size_ratio", ratio(batch, batchSize(plain.stats)), "ratio"},
 	)
 	return m
 }
 
-// quantile returns the nearest-rank q-quantile of ds in seconds, or 0 when
-// the sample has fewer than minBeyond values above that rank.
-func quantile(ds []time.Duration, q float64) float64 {
-	v, ok := percentile(sortedCopy(ds), q)
-	if !ok || v == failed {
-		return 0
-	}
-	return v.Seconds()
-}
-
 // pooledMS is a legitimate-latency percentile over all the cells' requests,
-// in milliseconds: 0 when the sample cannot support it, twice the latency
-// limit when it lands on a failed request.
+// in milliseconds, as legitMS gives it.
 func (d *client) pooledMS(runs []cellRun, q float64) float64 {
-	v, ok := percentile(d.summarize(runs...).legitLat, q)
-	switch {
-	case !ok:
-		return 0
-	case v == failed:
-		v = 2 * d.w.limit
-	}
-	return v.Seconds() * 1e3
+	v, _ := d.legitMS(summarize(runs...).legitLat, q)
+	return v
 }
 
-// overhead is the tracing overhead: the traced pass's median latency of
-// good legitimate requests at the low and high rates against the untraced
-// pass's, minus one.
+// overhead is the tracing overhead: the traced pass's median legitimate
+// latency at the low and high rates against the untraced pass's, minus
+// one.
 func overhead(d *client, tr, plain passResult) float64 {
-	p50 := func(p passResult) float64 {
-		return quantile(d.summarize(append(p.of("low"), p.of("high")...)...).legitLat, 0.5)
-	}
+	p50 := func(p passResult) float64 { return d.pooledMS(append(p.valid("low"), p.valid("high")...), 0.5) }
 	return ratio(p50(tr), p50(plain)) - 1
 }
 

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -106,19 +105,23 @@ func TestSmoke(t *testing.T) {
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
 			p, err := pass(w, 7, 1500*time.Millisecond, true)
-			if errors.Is(err, errBehind) {
-				// Timing validity, not correctness: a slow or loaded
-				// machine (or the race detector) cannot keep the schedule.
-				t.Skip(err)
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, v := range p.violations {
 				t.Error(v)
 			}
-			d := &client{w: w}
-			s := d.summarize(p.cells...)
+			for _, name := range []string{"low", "high", "over"} {
+				for _, run := range p.of(name) {
+					if !run.lagOK {
+						// Timing validity, not correctness: a slow or
+						// loaded machine (or the race detector) cannot
+						// keep the schedule.
+						t.Skipf("generator fell behind in a %s cell", name)
+					}
+				}
+			}
+			s := summarize(p.cells...)
 			if s.legitGood == 0 {
 				t.Fatal("no legitimate request answered in time")
 			}

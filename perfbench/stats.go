@@ -30,6 +30,26 @@ func percentile(sorted []time.Duration, q float64) (time.Duration, bool) {
 	return sorted[k-1], true
 }
 
+// quantile returns the nearest-rank q-quantile, in seconds, of a sample
+// that holds no failures, in any order; 0 when the sample cannot support
+// it.
+func quantile(ds []time.Duration, q float64) float64 {
+	v, _ := percentile(sortedCopy(ds), q)
+	return v.Seconds()
+}
+
+// legitMS returns the q-quantile of sorted legitimate latencies in
+// milliseconds, and whether the sample supports it; 0 when it does not. A
+// quantile that lands on a failed request reads as twice the latency
+// limit.
+func (d *client) legitMS(sorted []time.Duration, q float64) (float64, bool) {
+	v, ok := percentile(sorted, q)
+	if v == failed {
+		v = 2 * d.w.limit
+	}
+	return v.Seconds() * 1e3, ok
+}
+
 // sortedCopy returns ds sorted ascending without touching ds.
 func sortedCopy(ds []time.Duration) []time.Duration {
 	s := slices.Clone(ds)

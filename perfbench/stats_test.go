@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,14 +72,14 @@ func TestFailuresMissTheLimit(t *testing.T) {
 	// misses every latency limit, so it pushes p99 over the limit.
 	w := workload{classes: []class{{key: "small", weight: 1}}, limit: limit}
 	d := &client{w: w}
-	run := cellRun{arr: make([]arrival, 1000), res: make([]result, 1000)}
-	for i := range run.res {
-		run.res[i] = result{lat: ms(1), verdict: good, submitted: true}
+	res := make([]result, 1000)
+	for i := range res {
+		res[i] = result{lat: ms(1), verdict: good, submitted: true}
 	}
 	for i := 0; i < 20; i++ {
-		run.res[i] = result{lat: time.Microsecond, verdict: refused}
+		res[i] = result{lat: time.Microsecond, verdict: refused}
 	}
-	s := d.summarize(run)
+	s := d.tally(make([]arrival, len(res)), res)
 	if s.legitFailed != 20 || s.failShare() != 0.02 {
 		t.Errorf("failed %d, share %v; want 20, 0.02", s.legitFailed, s.failShare())
 	}
@@ -87,6 +88,16 @@ func TestFailuresMissTheLimit(t *testing.T) {
 	}
 	if p50, _ := percentile(s.legitLat, 0.5); p50 != ms(1) {
 		t.Errorf("p50 = %v, want 1ms", p50)
+	}
+	// A reported latency that lands on a failure reads as twice the limit.
+	if v, ok := d.legitMS(s.legitLat, 0.99); !ok || v != 100 {
+		t.Errorf("legitMS p99 = %v, %v; want 100, true", v, ok)
+	}
+
+	// Folded cells merge: two copies hold twice the requests and failures.
+	two := summarize(cellRun{sum: s}, cellRun{sum: s})
+	if two.legit != 2000 || two.legitFailed != 40 || len(two.legitLat) != 2000 || !slices.IsSorted(two.legitLat) {
+		t.Errorf("merged %d legit, %d failed, %d latencies", two.legit, two.legitFailed, len(two.legitLat))
 	}
 }
 
@@ -140,5 +151,50 @@ func TestMedian(t *testing.T) {
 	}
 	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Errorf("median even = %v", got)
+	}
+}
+
+func TestTracedCountersAgree(t *testing.T) {
+	var plain srv.RouterStats
+	plain.Restarts, plain.Served, plain.Batches = 100, 1200, 100
+	if v := agree(plain, plain); len(v) != 0 {
+		t.Errorf("identical counters disagree: %v", v)
+	}
+	tr := plain
+	tr.Restarts = 80 // 20% fewer: load decides how many attacks ran
+	if v := agree(plain, tr); len(v) != 0 {
+		t.Errorf("restarts within tolerance reported: %v", v)
+	}
+	tr.Restarts = 70
+	if v := agree(plain, tr); len(v) != 1 {
+		t.Errorf("30%% fewer restarts not reported: %v", v)
+	}
+	// A wrapper that hid BeginBatch/EndBatch would leave no batches.
+	tr = plain
+	tr.Batches = 0
+	if v := agree(plain, tr); len(v) != 1 {
+		t.Errorf("lost batching not reported: %v", v)
+	}
+}
+
+// TestValidLeavesOutLaggedCells checks that figures come from the cells
+// the generator kept to schedule in, and from every cell of the name only
+// when it kept to schedule in none.
+func TestValidLeavesOutLaggedCells(t *testing.T) {
+	p := passResult{cells: []cellRun{
+		{cell: cell{name: "warmup"}},
+		{cell: cell{name: "over", rate: 1}, lagOK: true},
+		{cell: cell{name: "over", rate: 2}},
+		{cell: cell{name: "low", rate: 3}},
+		{cell: cell{name: "low", rate: 4}},
+	}}
+	if got := p.valid("over"); len(got) != 1 || got[0].rate != 1 {
+		t.Errorf("valid over cells = %v, want only the one on schedule", got)
+	}
+	if got := p.valid("low"); len(got) != 2 {
+		t.Errorf("valid low cells = %v, want both when none kept to schedule", got)
+	}
+	if got := p.valid("high"); len(got) != 0 {
+		t.Errorf("valid high cells = %v, want none", got)
 	}
 }

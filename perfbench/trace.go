@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -104,4 +106,84 @@ func (t *tracedInstance) BindBatch(ctx context.Context) (release func()) {
 		return b.BindBatch(ctx)
 	}
 	return func() {}
+}
+
+// spans are a traced cell's span lengths, one per request that reached an
+// instance.
+type spans struct {
+	// handle holds handle spans by class key, and by rewind outcome under
+	// "commit" and "rewound".
+	handle          map[string][]time.Duration
+	pre, post, self []time.Duration
+	busy            time.Duration // the handle spans' sum
+}
+
+func (d *client) spansOf(arr []arrival, res []result) spans {
+	var sp spans
+	for i, r := range res {
+		if r.handleEnd == 0 {
+			continue // never reached an instance
+		}
+		h := r.handleEnd - r.handleStart
+		sp.addHandle(d.w.classes[arr[i].class].key, h)
+		switch r.outcome {
+		case fo.OutcomeRewound:
+			sp.addHandle("rewound", h)
+		case fo.OutcomeOK:
+			sp.addHandle("commit", h)
+		}
+		sp.busy += h
+		sp.pre = append(sp.pre, r.handleStart-r.submitStart)
+		sp.post = append(sp.post, r.submitEnd-r.handleEnd)
+		sp.self = append(sp.self, selfTime(r.submitStart, r.submitEnd, r.handleStart, r.handleEnd))
+	}
+	return sp
+}
+
+func (sp *spans) addHandle(key string, ds ...time.Duration) {
+	if sp.handle == nil {
+		sp.handle = map[string][]time.Duration{}
+	}
+	sp.handle[key] = append(sp.handle[key], ds...)
+}
+
+// add merges o into sp.
+func (sp *spans) add(o spans) {
+	for key, ds := range o.handle {
+		sp.addHandle(key, ds...)
+	}
+	sp.pre = append(sp.pre, o.pre...)
+	sp.post = append(sp.post, o.post...)
+	sp.self = append(sp.self, o.self...)
+	sp.busy += o.busy
+}
+
+// traceTolerance is how far the traced pass's restarts, rolled-back attacks
+// and mean batch size may depart from the untraced pass's, as a share of
+// the larger figure. Both passes send the same schedule, but load decides
+// how many attacks run before their deadline, and a cell the generator fell
+// behind in is sent again.
+const traceTolerance = 0.25
+
+// agree lists where the traced pass's counters depart from the untraced
+// pass's by more than traceTolerance. A wrapper that hid a capability from
+// the engine would turn off batching, restarts or rollback in the traced
+// program only.
+func agree(plain, tr srv.RouterStats) []string {
+	var out []string
+	check := func(name string, a, b float64) {
+		if math.Abs(a-b) > traceTolerance*max(a, b) {
+			out = append(out, fmt.Sprintf("traced pass %s %.4g, untraced %.4g", name, b, a))
+		}
+	}
+	check("Restarts", float64(plain.Restarts), float64(tr.Restarts))
+	check("Rewound", float64(plain.Rewound), float64(tr.Rewound))
+	check("mean batch size", batchSize(plain), batchSize(tr))
+	return out
+}
+
+// batchSize is the mean number of requests per batch, or 0 without
+// batching.
+func batchSize(s srv.RouterStats) float64 {
+	return ratio(float64(s.Served), float64(s.Batches))
 }

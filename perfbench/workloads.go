@@ -82,12 +82,16 @@ func apacheMix() []class {
 
 // workloads are the benchmark's traffic mixes. Their offered rates are
 // absolute and fixed. They were sized once, on a 2-CPU x86-64 VM, against
-// the capacity at the latency limit: low and high sit near a third and a
-// half of it, the ladder brackets it, and over is about twice it (1.3× on
-// apache-bounds, where deeper overload makes the crash-and-restart
-// dynamics bimodal). Nearer the capacity, run-to-run latency swings past
-// the benchmark's bounds. A faster program then shows as lower latency and
-// a higher sustained rate, not as more offered load.
+// the knee: the highest rate at which legitimate p99 stays within the
+// limit. low sits near a quarter to a third of it, high near a third to a
+// half. The ladder runs in steps of 8–10% from about 0.7 to 1.3 times the
+// knee, so that its top rungs fail and the sustained rate is set by the
+// program, not by the ladder; the command says so when the top rung
+// passes. over is 1.35 to 2.9 times the knee: the deepest overload at
+// which goodput stayed steady between runs. Nearer the knee, run-to-run
+// latency swings widely, so low and high stay well below it. A faster
+// program then shows as lower latency, a higher sustained rate and more
+// goodput, not as more offered load.
 var workloads = []workload{
 	// Per-request execution dominates: the engine, the policy checks, and
 	// the event log on every attack. Restarts and checkpoints do no work.
@@ -100,8 +104,8 @@ var workloads = []workload{
 		limit:   50 * time.Millisecond,
 		low:     900,
 		high:    1300,
-		ladder:  []float64{2400, 2650, 2900, 3150},
-		over:    6000,
+		ladder:  []float64{2200, 2400, 2600, 2850, 3100, 3400, 3700, 4000},
+		over:    5000,
 		options: fleet(),
 	},
 	// The internal/mem checkpoint, commit and rollback path dominates, and
@@ -120,9 +124,9 @@ var workloads = []workload{
 		tenants: 64,
 		limit:   50 * time.Millisecond,
 		low:     800,
-		high:    1200,
-		ladder:  []float64{2300, 2550, 2800, 3050},
-		over:    6000,
+		high:    1000,
+		ladder:  []float64{2100, 2300, 2500, 2750, 3000, 3300, 3650, 4000},
+		over:    4200,
 		options: fleet(),
 	},
 	// Tiny commands with fixed replies over many tenants, no attacks: the
@@ -140,8 +144,8 @@ var workloads = []workload{
 		limit:   20 * time.Millisecond,
 		low:     6000,
 		high:    9000,
-		ladder:  []float64{16500, 18000, 19500, 21000},
-		over:    44000,
+		ladder:  []float64{15500, 17000, 18500, 20000, 22000, 24000, 26500, 29000},
+		over:    56000,
 		options: append(fleet(srv.WithBatching(16, time.Millisecond)),
 			srv.WithTenantQuota(8)),
 	},
@@ -156,8 +160,8 @@ var workloads = []workload{
 		limit:   50 * time.Millisecond,
 		low:     750,
 		high:    1050,
-		ladder:  []float64{1750, 1900, 2050, 2200},
-		over:    2800,
+		ladder:  []float64{1650, 1800, 1950, 2100, 2250, 2450, 2650, 2850},
+		over:    3000,
 		options: fleet(srv.WithWarmSpares(2)),
 	},
 }
