@@ -59,8 +59,7 @@ type (
 
 // The server registry: the five reproductions from the paper's evaluation
 // (§4.2–§4.6), keyed by name. Names returns the catalog, New instantiates
-// by name — the registry is the supported way to enumerate or select
-// models, replacing the per-server constructors below.
+// by name — the registry is the way to enumerate or select models.
 
 // Names returns the registered server model names in the paper's
 // presentation order: "pine", "apache", "sendmail", "mc", "mutt".
@@ -73,46 +72,6 @@ func New(name string) (Server, error) { return registry.New(name) }
 // Servers returns fresh instances of all registered server models, in
 // Names() order.
 func Servers() []Server { return registry.All() }
-
-// NewPineServer returns the Pine 4.44 model (qmail-style From-quoting
-// overflow, §4.2).
-//
-// Deprecated: use New("pine").
-func NewPineServer() Server { return mustNew("pine") }
-
-// NewApacheServer returns the Apache 2.0.47 model (mod_rewrite capture
-// overflow, §4.3).
-//
-// Deprecated: use New("apache").
-func NewApacheServer() Server { return mustNew("apache") }
-
-// NewSendmailServer returns the Sendmail 8.11.6 model (address-parsing
-// overflow, §4.4).
-//
-// Deprecated: use New("sendmail").
-func NewSendmailServer() Server { return mustNew("sendmail") }
-
-// NewMCServer returns the Midnight Commander 4.5.55 model (symlink-name
-// overflow, §4.5).
-//
-// Deprecated: use New("mc").
-func NewMCServer() Server { return mustNew("mc") }
-
-// NewMuttServer returns the Mutt 1.4 model (UTF-8 conversion overflow,
-// §4.6).
-//
-// Deprecated: use New("mutt").
-func NewMuttServer() Server { return mustNew("mutt") }
-
-// mustNew backs the deprecated constructors: their names are registry
-// constants, so a lookup failure is a bug, not an input error.
-func mustNew(name string) Server {
-	s, err := registry.New(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // Re-exported serving-engine types; see internal/serve for details.
 type (
@@ -196,7 +155,9 @@ func WithQueueDepth(n int) Option { return serve.WithQueueDepth(n) }
 // WithDeadline sets the default per-request deadline.
 func WithDeadline(d time.Duration) Option { return serve.WithDeadline(d) }
 
-// WithBackoff sets the capped exponential restart backoff.
+// WithBackoff sets the capped exponential restart backoff: the first
+// restart after an isolated crash is immediate, and the k-th consecutive
+// restart (k >= 2) waits min(base<<(k-2), max).
 func WithBackoff(base, max time.Duration) Option { return serve.WithBackoff(base, max) }
 
 // WithBreaker configures the restart-storm circuit breaker.
@@ -209,10 +170,11 @@ func WithBreaker(consecutive int, cooldown time.Duration) Option {
 // serving path (Apache-style pre-forking).
 func WithWarmSpares(n int) Option { return serve.WithWarmSpares(n) }
 
-// WithShedding replaces the engine's plain bounded queue with the
-// CoDel-style deadline-aware shedding queue: requests whose deadline has
-// become unmeetable are dropped from the front with ErrShed so viable
-// requests keep flowing.
+// WithShedding turns on CoDel-style deadline-aware shedding in the
+// engine's bounded admission queue: requests whose deadline has become
+// unmeetable are dropped from the front with ErrShed so viable requests
+// keep flowing. Without it a full queue rejects with ErrQueueFull and
+// nothing is shed.
 func WithShedding(c ShedConfig) Option { return serve.WithShedding(c) }
 
 // WithBatching coalesces queued small requests into batches of up to

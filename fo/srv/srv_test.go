@@ -33,7 +33,8 @@ func TestConstructorsServe(t *testing.T) {
 // TestEngineThroughPublicAPI exercises the full serving quickstart: an
 // engine built only from fo/srv symbols serving legit and attack traffic.
 func TestEngineThroughPublicAPI(t *testing.T) {
-	eng, err := srv.NewEngine(srv.NewApacheServer(), fo.FailureOblivious,
+	apacheSrv := newServer(t, "apache")
+	eng, err := srv.NewEngine(apacheSrv, fo.FailureOblivious,
 		srv.WithPoolSize(2),
 		srv.WithQueueDepth(8),
 		srv.WithDeadline(5*time.Second),
@@ -43,7 +44,6 @@ func TestEngineThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	apacheSrv := srv.NewApacheServer()
 	for i := 0; i < 3; i++ {
 		resp, err := eng.Submit(context.Background(), apacheSrv.LegitRequests()[0])
 		if err != nil {
@@ -64,4 +64,15 @@ func TestEngineThroughPublicAPI(t *testing.T) {
 	if st.Served != 6 {
 		t.Errorf("served = %d, want 6", st.Served)
 	}
+}
+
+// newServer returns the registered server model called name, failing the
+// test if the registry does not know it.
+func newServer(t *testing.T, name string) srv.Server {
+	t.Helper()
+	s, err := srv.New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -186,6 +186,7 @@ func Loadtest(srv servers.Server, mode fo.Mode, cfg LoadtestConfig) (LoadtestRes
 		res.Throughput = float64(res.LegitDone) / res.Elapsed.Seconds()
 	}
 	res.P50, res.P95, res.P99 = percentiles(latencies)
+	eng.Close() // joins the workers, so a respawn still backing off is settled
 	st := eng.Stats()
 	res.Restarts = st.Restarts
 	res.Timeouts = st.Timeouts

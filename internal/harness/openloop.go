@@ -325,6 +325,7 @@ func ClusterRun(srv servers.Server, mode fo.Mode, cfg ClusterConfig) (ClusterRes
 	res.GenSeconds = genElapsed.Seconds()
 	res.Goodput = float64(res.SLOGood) / genElapsed.Seconds()
 	res.P50, res.P95, res.P99 = percentiles(latencies)
+	rt.Close() // joins every shard's workers, so a respawn still backing off is settled
 	st := rt.Stats()
 	res.Shed = st.Shed
 	res.Rejected = st.Rejected

@@ -729,6 +729,8 @@ func runChaos(t Target, cp ChaosPlan, modes []fo.Mode) ([]ChaosCell, error) {
 				cell.Deadlines++
 			}
 		}
+		// Exact without polling: the engine counts a kill and its
+		// immediate restart before it answers the killed request.
 		st := eng.Stats()
 		eng.Close()
 		cell.Kills = int(st.ChaosKills)

@@ -116,10 +116,11 @@ func WithPoolSize(n int) Option {
 	return func(o *options) { o.poolSize = n }
 }
 
-// WithQueueDepth bounds the admission queue: a Submit arriving while the
-// queue holds n requests is rejected with ErrQueueFull (backpressure) —
-// or, with shedding enabled, may displace a queued request whose deadline
-// has become unmeetable (ErrShed). New rejects n <= 0.
+// WithQueueDepth bounds the engine's one admission queue: a Submit
+// arriving while the queue holds n requests is rejected with ErrQueueFull
+// (backpressure) — or, with shedding enabled, may displace a queued
+// request whose deadline has become unmeetable (ErrShed). New rejects
+// n <= 0.
 func WithQueueDepth(n int) Option {
 	return func(o *options) { o.queueDepth = n }
 }
@@ -134,8 +135,11 @@ func WithDeadline(d time.Duration) Option {
 }
 
 // WithBackoff sets the capped exponential backoff applied between
-// consecutive restarts of a crashing instance: the k-th consecutive restart
-// waits min(base<<(k-1), max). New rejects non-positive values and a base
+// consecutive restarts of a crashing instance: the first restart after an
+// isolated crash is immediate, and the k-th consecutive restart (k >= 2)
+// waits min(base<<(k-2), max) — base, then 2·base, doubling up to the cap.
+// A warm spare replaces a crashed instance without waiting, and chaos
+// kills do not grow the count. New rejects non-positive values and a base
 // above the cap.
 func WithBackoff(base, max time.Duration) Option {
 	return func(o *options) {
@@ -159,10 +163,10 @@ func WithWarmSpares(n int) Option {
 
 // ShedConfig configures the deadline-aware shedding queue (WithShedding).
 //
-// The shedding queue replaces the engine's plain bounded FIFO with a
-// CoDel-style controlled-delay queue (Nichols & Jacobson, "Controlling
-// Queue Delay"): instead of tail-dropping new arrivals whenever the buffer
-// is full, it watches the *sojourn time* of the oldest queued request and
+// Shedding turns the engine's bounded FIFO into a CoDel-style
+// controlled-delay queue (Nichols & Jacobson, "Controlling Queue Delay"):
+// instead of tail-dropping new arrivals whenever the buffer is full, it
+// watches the *sojourn time* of the oldest queued request and
 // drops from the front — the requests that have already waited so long
 // their deadline has become unmeetable — so fresh requests that can still
 // meet their deadline are admitted and served. A dropped request's
@@ -189,9 +193,10 @@ type ShedConfig struct {
 
 func (c ShedConfig) enabled() bool { return c != (ShedConfig{}) }
 
-// WithShedding replaces the fixed bounded queue with the deadline-aware
-// CoDel-style shedding queue described on ShedConfig. New rejects
-// non-positive Target or Interval.
+// WithShedding turns on deadline-aware CoDel-style shedding in the
+// engine's admission queue, as described on ShedConfig. The zero config
+// leaves it off: a full queue then rejects with ErrQueueFull and nothing
+// is ever shed. New rejects non-positive Target or Interval.
 func WithShedding(c ShedConfig) Option {
 	return func(o *options) { o.shed = c }
 }
@@ -204,10 +209,14 @@ func WithShedding(c ShedConfig) Option {
 // from its seeded plan; see internal/inject).
 type ChaosConfig struct {
 	// KillEvery kills the serving instance after every n-th executed
-	// request (the response is delivered first; the supervisor then
-	// replaces the instance exactly as after a crash, but the kill is
-	// counted as a chaos kill, not a crash, and does not grow the restart
-	// backoff). 0 disables kill injection.
+	// request. The supervisor replaces the instance exactly as after a
+	// crash, but the kill is counted as a chaos kill, not a crash, and
+	// does not grow the restart backoff. The request's response is sent
+	// after the kill is counted and — unless the replacement must wait for
+	// an earlier crash's backoff or a breaker cooldown — after the
+	// replacement and its restart are counted, so a sequential caller reads
+	// exact ChaosKills and Restarts as soon as Submit returns. 0 disables
+	// kill injection.
 	KillEvery uint64
 	// LatencyEvery delays every n-th executed request by Latency before
 	// execution. With a per-request deadline configured, a Latency

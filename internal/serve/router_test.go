@@ -378,16 +378,14 @@ func TestRouterRebalanceOnBreaker(t *testing.T) {
 			t.Fatalf("smash %d outcome = %v, want a crash", i, resp.Outcome)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Stats().Shards[home].BreakerTrips == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("home shard breaker never tripped")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The trip counter is incremented after the health gauge (see respawn),
-	// so from here every lookup sees the home shard as unhealthy.
+	// The breaker trips before the reply to the second crash is sent, and
+	// the trip counter is incremented after the health gauge (see
+	// respawn), so from here every lookup sees the home shard as
+	// unhealthy.
 	tripped := rt.Stats()
+	if tripped.Shards[home].BreakerTrips == 0 {
+		t.Fatal("home shard breaker had not tripped when the second crash was answered")
+	}
 	homeServed := tripped.Shards[home].Served
 
 	// Handoff: with the breaker open, the tenant's requests must land on
@@ -412,7 +410,7 @@ func TestRouterRebalanceOnBreaker(t *testing.T) {
 
 	// Restoration: the half-open respawn at cooldown end clears the gauge;
 	// once a request lands home again, rebalancing must have stopped.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for rt.Stats().Shards[home].Served == homeServed {
 		if time.Now().After(deadline) {
 			t.Fatal("home shard never recovered after breaker cooldown")

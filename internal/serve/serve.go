@@ -5,12 +5,13 @@
 //
 // The engine owns poolSize worker goroutines, each driving its own
 // servers.Instance (instances are single-goroutine; see the concurrency
-// contract on servers.Instance). Requests are admitted through a bounded
-// queue — a full queue rejects immediately with ErrQueueFull so callers see
-// backpressure instead of unbounded latency. With WithShedding the bounded
-// FIFO becomes a CoDel-style deadline-aware shedding queue: requests whose
-// deadline has become unmeetable are dropped from the front with ErrShed so
-// viable requests keep flowing (see ShedConfig). A per-request deadline
+// contract on servers.Instance). Requests are admitted through one bounded
+// FIFO, shedQueue — a full queue rejects immediately with ErrQueueFull so
+// callers see backpressure instead of unbounded latency. WithShedding turns
+// on its CoDel-style deadline-aware shedding: requests whose deadline has
+// become unmeetable are dropped from the front with ErrShed so viable
+// requests keep flowing (see ShedConfig); without it nothing is ever shed.
+// A per-request deadline
 // (engine default and/or caller context) cancels execution inside the
 // interpreter and returns fo.OutcomeDeadline without killing the instance.
 //
@@ -20,6 +21,10 @@
 // BoundsCheck versions under attack — with capped exponential backoff
 // between consecutive crashes, and a circuit breaker that parks a
 // crash-looping worker for a cooldown instead of hot-restarting forever.
+// Counters are causally consistent with replies: once a caller holds a
+// response, Stats already counts the crash or chaos kill it caused and —
+// unless the replacement has to wait out a backoff or breaker cooldown —
+// the restart that replaced the instance.
 //
 // Instance creation — initial pool fill, warm spares, and every restart —
 // goes through the server factory to fo.Program.NewMachine, which reuses
@@ -71,7 +76,10 @@ type Stats struct {
 	// Crashes counts requests that killed their instance.
 	Crashes uint64
 	// Restarts counts replacement instances successfully created after a
-	// crash or chaos kill.
+	// crash or chaos kill. A replacement that needs no wait (a warm spare,
+	// or the immediate first restart) is counted before the killed
+	// request's reply is sent; one that waits for backoff or the breaker
+	// cooldown is counted when it arrives, after the reply.
 	Restarts uint64
 	// Recycles counts instances replaced by a generation bump (Recycle —
 	// the program hot-swap path), which is neither a crash nor a restart:
@@ -142,10 +150,8 @@ type Engine struct {
 	mode fo.Mode
 	o    options
 
-	// Exactly one of tasks/q is non-nil: the plain bounded queue, or the
-	// deadline-aware shedding queue (WithShedding).
-	tasks chan *task
-	q     *shedQueue
+	// q is the bounded admission queue; it sheds only with WithShedding.
+	q *shedQueue
 
 	// b coalesces submissions into batch wrapper tasks ahead of the queue
 	// (WithBatching); nil when batching is disabled.
@@ -211,7 +217,7 @@ type task struct {
 	ctx  context.Context
 	req  servers.Request
 	resp chan taskResult // buffered(1): workers never block on reply
-	enq  time.Time       // when the task entered the queue (sojourn basis)
+	enq  time.Time       // when the task entered the queue (sojourn basis; stamped only when shedding)
 
 	// batch, when non-nil, marks this task as a batch wrapper (WithBatching):
 	// it carries no request of its own, occupies one queue slot, and the
@@ -238,7 +244,7 @@ var taskPool = sync.Pool{
 // getTask checks a task out of the pool, initialized for one submission.
 // enq is stamped by the caller only when a consumer needs it (the shedding
 // queue's sojourn clock) — a clock read costs real time on the small-op
-// hot path, so the plain bounded queue skips it.
+// hot path, so a non-shedding queue skips it.
 func getTask(ctx context.Context, req servers.Request) *task {
 	t := taskPool.Get().(*task)
 	t.ctx, t.req = ctx, req
@@ -280,11 +286,7 @@ func New(srv servers.Server, mode fo.Mode, opts ...Option) (*Engine, error) {
 		closeFunc: closeFunc,
 		liveLogs:  make(map[*fo.EventLog]struct{}, o.poolSize),
 	}
-	if o.shed.enabled() {
-		e.q = newShedQueue(o.queueDepth, o.shed, &e.shedCount)
-	} else {
-		e.tasks = make(chan *task, o.queueDepth)
-	}
+	e.q = newShedQueue(o.queueDepth, o.shed, &e.shedCount)
 	if o.batchMax > 0 {
 		e.b = newBatcher(e)
 	}
@@ -455,9 +457,7 @@ func (e *Engine) PoolSize() int { return e.o.poolSize }
 // unmeetable-deadline shedding for its replacement.
 func (e *Engine) Recycle() {
 	e.gen.Add(1)
-	if e.q != nil {
-		e.q.resetServiceEstimate()
-	}
+	e.q.resetServiceEstimate()
 }
 
 // Stats returns a snapshot of the engine counters, including the
@@ -510,7 +510,7 @@ func (e *Engine) Submit(ctx context.Context, req servers.Request) (servers.Respo
 		defer cancel()
 	}
 	t := getTask(ctx, req)
-	if e.q != nil {
+	if e.q.shedding {
 		t.enq = time.Now() // sojourn basis for the shedding queue
 	}
 	if e.b != nil && e.b.admit(t) {
@@ -518,25 +518,12 @@ func (e *Engine) Submit(ctx context.Context, req servers.Request) (servers.Respo
 		// response, or the batch's admission error — arrives on t.resp.
 		return e.await(t)
 	}
-	if e.q != nil {
-		if err := e.q.push(t); err != nil {
-			if errors.Is(err, ErrQueueFull) {
-				e.rejected.Add(1)
-			}
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, err
-		}
-	} else {
-		select {
-		case e.tasks <- t:
-		case <-e.closing.Done():
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, ErrClosed
-		default:
+	if err := e.q.push(t); err != nil {
+		if errors.Is(err, ErrQueueFull) {
 			e.rejected.Add(1)
-			putTask(t) // never enqueued: nothing can send on it
-			return servers.Response{}, ErrQueueFull
 		}
+		putTask(t) // never enqueued: nothing can send on it
+		return servers.Response{}, err
 	}
 	return e.await(t)
 }
@@ -555,15 +542,14 @@ func (e *Engine) await(t *task) (servers.Response, error) {
 	}
 }
 
-// Close shuts the engine down and waits for the workers to exit. In-flight
+// Close shuts the engine down and waits for the workers to exit, including
+// any respawn in flight, so Stats read after Close is final. In-flight
 // requests are canceled through the interpreter's cancellation hook, and
 // Submits blocked on them return ErrClosed. Close is idempotent.
 func (e *Engine) Close() {
 	e.once.Do(func() {
 		e.closeFunc()
-		if e.q != nil {
-			e.q.close()
-		}
+		e.q.close()
 	})
 	e.wg.Wait()
 	if e.spares != nil {
@@ -580,20 +566,6 @@ func (e *Engine) Close() {
 	}
 }
 
-// next blocks until a task is available on whichever queue the engine runs,
-// returning false when the engine is closing.
-func (e *Engine) next() (*task, bool) {
-	if e.q != nil {
-		return e.q.pop()
-	}
-	select {
-	case <-e.closing.Done():
-		return nil, false
-	case t := <-e.tasks:
-		return t, true
-	}
-}
-
 // worker owns one instance: it pulls tasks from the shared queue, executes
 // them under the task context, and supervises its instance across crashes
 // and hot-swap recycles. instGen is the generation read before inst was
@@ -603,7 +575,7 @@ func (e *Engine) worker(inst servers.Instance, instGen uint64) {
 	defer e.wg.Done()
 	consecutive := 0 // crashes since the last successful response
 	for {
-		t, ok := e.next()
+		t, ok := e.q.pop()
 		if !ok {
 			return
 		}
@@ -680,14 +652,20 @@ func (e *Engine) serveBatch(inst servers.Instance, instGen *uint64, consecutive 
 }
 
 // serveTask runs one request end to end on inst: queued-expiry check,
-// chaos injection, execution with accounting, the reply, and crash
-// supervision (retire + respawn with backoff/breaker). A non-nil clock
-// marks a sub-request of a coalesced batch: the per-request recycle point
-// is skipped (serveBatch checked once for the whole batch), the batch
-// checkpoint epoch is (re-)armed before execution, and latency is
-// measured against *clock — the previous sub-request's end boundary —
-// which serveTask advances. Returns the (possibly replaced) instance, or
-// nil when the engine closed.
+// chaos injection, execution with accounting, crash supervision (retire +
+// respawn with backoff/breaker), and the reply. A non-nil clock marks a
+// sub-request of a coalesced batch: the per-request recycle point is
+// skipped (serveBatch checked once for the whole batch), the batch
+// checkpoint epoch is (re-)armed before execution, and latency is measured
+// against *clock — the previous sub-request's end boundary — which
+// serveTask advances. Returns the (possibly replaced) instance, or nil
+// when the engine closed.
+//
+// Every path sends exactly one reply, as late as it can without making the
+// caller wait: crash, chaos-kill and retirement accounting come first, and
+// a replacement that needs no wait comes first too (see respawn), so a
+// caller holding the response reads Stats that already count what its
+// request caused.
 func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *int, t *task, clock *time.Time) servers.Instance {
 	if err := t.ctx.Err(); err != nil {
 		// Expired while queued: answer without burning the
@@ -702,6 +680,7 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 		if c := e.o.chaos; c.LatencyEvery > 0 && seq%c.LatencyEvery == 0 {
 			e.chaosDelays.Add(1)
 			if !e.sleep(c.Latency) {
+				t.resp <- taskResult{err: ErrClosed}
 				return nil // engine closed mid-delay
 			}
 		}
@@ -723,6 +702,7 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 			// instance has no work in flight, and before execution, so
 			// this request is already served by the new program.
 			if inst = e.maybeRecycle(inst, instGen); inst == nil {
+				t.resp <- taskResult{err: ErrClosed}
 				return nil // engine closed while replacing the instance
 			}
 		} else if be, ok := inst.(batchEpocher); ok {
@@ -744,7 +724,7 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 		}
 		d := now.Sub(t0)
 		e.latency.record(d)
-		if e.q != nil {
+		if e.q.shedding {
 			e.q.observe(d)
 		}
 		e.served.Add(1)
@@ -758,7 +738,6 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 			e.rewound.Add(1)
 		}
 	}
-	t.resp <- taskResult{resp: resp}
 	killed := false
 	if c := e.o.chaos; c.KillEvery > 0 && seq > 0 && seq%c.KillEvery == 0 {
 		if k, ok := inst.(interface{ Kill() }); ok {
@@ -778,13 +757,12 @@ func (e *Engine) serveTask(inst servers.Instance, instGen *uint64, consecutive *
 		e.retireLog(inst.Log())
 		releaseInstance(inst)
 		*instGen = e.gen.Load()
-		inst = e.respawn(consecutive)
-		if inst == nil {
-			return nil // engine closed while backing off
-		}
-	} else if resp.Outcome == fo.OutcomeOK {
+		return e.respawn(consecutive, t, taskResult{resp: resp})
+	}
+	if resp.Outcome == fo.OutcomeOK {
 		*consecutive = 0
 	}
+	t.resp <- taskResult{resp: resp}
 	return inst
 }
 
@@ -844,8 +822,13 @@ func (e *Engine) execute(inst servers.Instance, t *task) servers.Response {
 
 // respawn replaces a crashed instance, applying capped exponential backoff
 // between consecutive crashes and tripping the circuit breaker on a restart
-// storm. It returns nil when the engine closes while waiting.
-func (e *Engine) respawn(consecutive *int) servers.Instance {
+// storm. It also sends r, the crashed request's reply, on t: after the
+// replacement and its restart count when neither waits (a warm spare, or
+// the immediate first restart), otherwise just before the first backoff or
+// cooldown sleep — the breaker gauge and BreakerTrips already show a trip
+// by then, and no caller waits out a cooldown for an answer that is
+// already computed. It returns nil when the engine closes while waiting.
+func (e *Engine) respawn(consecutive *int, t *task, r taskResult) servers.Instance {
 	// A pre-warmed spare replaces the crashed child with no in-line
 	// creation cost and no backoff: the spawn already happened off the
 	// serving path. When crashes outpace the filler the channel is empty
@@ -853,6 +836,7 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 	if inst, ok := e.takeSpare(); ok {
 		e.restarts.Add(1)
 		e.adoptLog(inst.Log())
+		t.resp <- r
 		return inst
 	}
 	// The breaker-open gauge covers the whole park-to-replacement window:
@@ -866,6 +850,7 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 		}
 	}()
 	for {
+		var wait time.Duration
 		switch {
 		case e.o.breakerAfter > 0 && *consecutive >= e.o.breakerAfter:
 			// Restart storm: stop hot-restarting, park for the cooldown,
@@ -878,12 +863,17 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 				e.breakerOpen.Add(1)
 			}
 			e.trips.Add(1)
-			if !e.sleep(e.o.breakerCool) {
-				return nil
-			}
+			wait = e.o.breakerCool
 			*consecutive = 1
 		case *consecutive > 1:
-			if !e.sleep(e.backoff(*consecutive)) {
+			wait = e.backoff(*consecutive)
+		}
+		if wait > 0 {
+			if t != nil {
+				t.resp <- r
+				t = nil // answered: the submitter may recycle the task
+			}
+			if !e.sleep(wait) {
 				return nil
 			}
 		}
@@ -894,24 +884,24 @@ func (e *Engine) respawn(consecutive *int) servers.Instance {
 		}
 		e.restarts.Add(1)
 		e.adoptLog(inst.Log())
+		if t != nil {
+			t.resp <- r
+		}
 		return inst
 	}
 }
 
-// backoff returns the delay before the k-th consecutive restart:
+// backoff returns the delay before the k-th consecutive restart (k >= 2):
 // min(base<<(k-2), max) — the first restart after an isolated crash is
 // immediate (the paper's pool regenerates children eagerly), the second
-// waits base, doubling up to the cap.
+// waits base, doubling up to the cap. The cap is compared before shifting,
+// so no k overflows.
 func (e *Engine) backoff(k int) time.Duration {
-	shift := uint(k - 2)
-	if shift > 20 {
-		return e.o.backoffMax
+	base, limit := e.o.backoffBase, e.o.backoffMax
+	if shift := max(k-2, 0); shift < 63 && base <= limit>>shift {
+		return base << shift
 	}
-	d := e.o.backoffBase << shift
-	if d <= 0 || d > e.o.backoffMax {
-		d = e.o.backoffMax
-	}
-	return d
+	return limit
 }
 
 // sleep waits for d, returning false if the engine closed first.

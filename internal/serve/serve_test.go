@@ -451,8 +451,8 @@ func TestQueueFullRejection(t *testing.T) {
 // TestChaosKillAndDelayCounters drives a single-worker engine with
 // deterministic chaos injection: every 3rd request kills the instance and
 // every 4th delays it. The counters must match the cadences exactly, every
-// request must still be answered OK (the response is delivered before the
-// kill), and chaos kills must show up as restarts — not crashes.
+// request must still be answered OK (the kill follows the request's
+// execution), and chaos kills must show up as restarts — not crashes.
 func TestChaosKillAndDelayCounters(t *testing.T) {
 	eng, err := serve.New(&stubServer{}, fo.FailureOblivious,
 		serve.WithPoolSize(1), serve.WithQueueDepth(4),
@@ -490,6 +490,139 @@ func TestChaosKillAndDelayCounters(t *testing.T) {
 	}
 	if st.Served != n {
 		t.Errorf("served = %d, want %d", st.Served, n)
+	}
+}
+
+// TestStatsConsistentAtReply pins the counter contract: once Submit
+// returns, Stats already counts every kill, crash and restart the request
+// caused. Each sub-test reads Stats right after every Submit of a
+// single-worker engine fed sequentially, so a reply sent before the
+// supervisor's accounting shows up as a count one short.
+func TestStatsConsistentAtReply(t *testing.T) {
+	cases := []struct {
+		name string
+		mode fo.Mode
+		ops  []string // cycled through, one per Submit
+		opts []serve.Option
+		// want returns the ChaosKills, Crashes and Restarts expected
+		// after n Submits.
+		want func(n uint64) (kills, crashes, restarts uint64)
+	}{
+		{
+			name: "chaos-kill",
+			mode: fo.FailureOblivious,
+			ops:  []string{"ok"},
+			opts: []serve.Option{serve.WithChaos(serve.ChaosConfig{KillEvery: 2})},
+			want: func(n uint64) (uint64, uint64, uint64) { return n / 2, 0, n / 2 },
+		},
+		{
+			name: "chaos-kill-warm-spares",
+			mode: fo.FailureOblivious,
+			ops:  []string{"ok"},
+			opts: []serve.Option{
+				serve.WithChaos(serve.ChaosConfig{KillEvery: 1}),
+				serve.WithWarmSpares(2),
+			},
+			want: func(n uint64) (uint64, uint64, uint64) { return n, 0, n },
+		},
+		{
+			// An isolated crash (an OK request between crashes) restarts
+			// immediately, so its restart is counted before the reply.
+			name: "isolated-crash",
+			mode: fo.Standard,
+			ops:  []string{"smash", "ok"},
+			want: func(n uint64) (uint64, uint64, uint64) { return 0, (n + 1) / 2, (n + 1) / 2 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]serve.Option{serve.WithPoolSize(1), serve.WithQueueDepth(4)}, tc.opts...)
+			eng, err := serve.New(&stubServer{}, tc.mode, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for n := uint64(1); n <= 12; n++ {
+				op := tc.ops[int(n-1)%len(tc.ops)]
+				if _, err := eng.Submit(nil, servers.Request{Op: op}); err != nil {
+					t.Fatalf("request %d: %v", n, err)
+				}
+				st := eng.Stats()
+				kills, crashes, restarts := tc.want(n)
+				if st.ChaosKills != kills || st.Crashes != crashes || st.Restarts != restarts {
+					t.Fatalf("after request %d: kills/crashes/restarts = %d/%d/%d, want %d/%d/%d",
+						n, st.ChaosKills, st.Crashes, st.Restarts, kills, crashes, restarts)
+				}
+			}
+		})
+	}
+}
+
+// TestStatsConsistentAtReplyMidBatch: a chaos kill in the middle of a
+// coalesced batch retires the instance and the rest of the batch runs on
+// the replacement; the kill and its restart are counted before the killed
+// sub-request's reply, so Stats is exact once every Submit has returned.
+func TestStatsConsistentAtReplyMidBatch(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.FailureOblivious,
+		serve.WithPoolSize(1), serve.WithQueueDepth(8),
+		serve.WithBatching(4, 10*time.Second), // only a full batch flushes
+		serve.WithChaos(serve.ChaosConfig{KillEvery: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	reqs := make([]servers.Request, 4)
+	for i := range reqs {
+		reqs[i] = servers.Request{Op: "ok"}
+	}
+	for round := uint64(1); round <= 3; round++ {
+		for k, resp := range submitAll(t, eng, reqs) {
+			if !resp.OK() {
+				t.Fatalf("round %d request %d = %v, want OK", round, k, resp)
+			}
+		}
+		st := eng.Stats()
+		if st.Batches != round || st.Served != 4*round {
+			t.Fatalf("round %d: batches/served = %d/%d, want %d/%d", round, st.Batches, st.Served, round, 4*round)
+		}
+		if st.ChaosKills != 2*round || st.Restarts != 2*round {
+			t.Fatalf("round %d: kills/restarts = %d/%d, want %d/%d",
+				round, st.ChaosKills, st.Restarts, 2*round, 2*round)
+		}
+	}
+}
+
+// TestBreakerTrippedAtReply: the breaker trips before the reply to the
+// tripping crash is sent, so Tripped() and BreakerTrips already show it
+// when Submit returns — and the reply does not wait out the cooldown. The
+// hour-long cooldown is cut short by Close, which then drops the gauge.
+func TestBreakerTrippedAtReply(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.Standard,
+		serve.WithPoolSize(1), serve.WithQueueDepth(4),
+		serve.WithBreaker(2, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		resp, err := eng.Submit(nil, servers.Request{Op: "smash"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Crashed() {
+			t.Fatalf("smash %d outcome = %v, want a crash", i, resp.Outcome)
+		}
+	}
+	if !eng.Tripped() {
+		t.Error("Tripped() = false when the reply to the tripping crash returned")
+	}
+	st := eng.Stats()
+	if st.BreakerTrips != 1 || st.Crashes != 2 || st.Restarts != 1 {
+		t.Errorf("trips/crashes/restarts = %d/%d/%d, want 1/2/1",
+			st.BreakerTrips, st.Crashes, st.Restarts)
+	}
+	eng.Close()
+	if eng.Tripped() {
+		t.Error("Tripped() = true after Close ended the cooldown")
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// shedQueue is the deadline-aware CoDel-style admission queue behind
-// WithShedding (see ShedConfig for the algorithm description). It replaces
-// the engine's plain bounded channel: requests queue FIFO, but when the
+// shedQueue is the engine's bounded FIFO admission queue. Without
+// WithShedding it is a plain bounded queue: a push onto a full queue
+// returns ErrQueueFull and nothing is ever shed. With WithShedding it is
+// the deadline-aware CoDel-style queue described on ShedConfig: when the
 // queue is full — or when the oldest request's sojourn time has exceeded
 // the target for longer than the interval — requests whose deadline has
 // become unmeetable are dropped from the *front*, their submitters
@@ -28,6 +29,10 @@ type shedQueue struct {
 	closed bool
 
 	cfg ShedConfig
+	// shedding is cfg.enabled(). When false, task.enq is never stamped or
+	// read, observe is never called, and push and pop skip every shedding
+	// rule.
+	shedding bool
 
 	// aboveSince is when the head sojourn time first exceeded cfg.Target
 	// without dipping back under (zero = currently under target). Dequeue
@@ -44,13 +49,13 @@ type shedQueue struct {
 }
 
 func newShedQueue(depth int, cfg ShedConfig, shed *atomic.Uint64) *shedQueue {
-	q := &shedQueue{items: make([]*task, 0, depth), depth: depth, cfg: cfg, shed: shed}
+	q := &shedQueue{items: make([]*task, 0, depth), depth: depth, cfg: cfg, shedding: cfg.enabled(), shed: shed}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // observe folds one measured execution duration into the service-time
-// estimate.
+// estimate. The engine calls it only when shedding is on.
 func (q *shedQueue) observe(d time.Duration) {
 	q.mu.Lock()
 	if q.svcEWMA == 0 {
@@ -104,8 +109,9 @@ func (q *shedQueue) dropLocked(i int) {
 }
 
 // push admits t, shedding the oldest unmeetable request to make room when
-// the queue is full. It returns ErrQueueFull when the queue is full of
-// requests that can still meet their deadlines, and ErrClosed after close.
+// the queue is full and shedding is on. It returns ErrQueueFull when the
+// queue is full of requests that can still meet their deadlines (of any
+// requests, without shedding), and ErrClosed after close.
 func (q *shedQueue) push(t *task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -113,6 +119,9 @@ func (q *shedQueue) push(t *task) error {
 		return ErrClosed
 	}
 	if len(q.items) >= q.depth {
+		if !q.shedding {
+			return ErrQueueFull
+		}
 		// Full: drop from the front — the oldest request whose deadline
 		// has become unmeetable — to admit a viable newcomer. The Interval
 		// gate does not apply here: a full queue is sustained pressure by
@@ -136,9 +145,9 @@ func (q *shedQueue) push(t *task) error {
 	return nil
 }
 
-// pop blocks until a task is available (or the queue closes), shedding
-// unmeetable requests from the front while the sojourn time has stayed
-// above target for at least the interval.
+// pop blocks until a task is available (or the queue closes). With
+// shedding on, it drops unmeetable requests from the front while the
+// sojourn time has stayed above target for at least the interval.
 func (q *shedQueue) pop() (*task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -148,6 +157,9 @@ func (q *shedQueue) pop() (*task, bool) {
 		}
 		if q.closed {
 			return nil, false
+		}
+		if !q.shedding {
+			return q.takeLocked(), true
 		}
 		now := time.Now()
 		head := q.items[0]
@@ -183,7 +195,7 @@ func (q *shedQueue) takeLocked() *task {
 }
 
 // close wakes all waiting workers; queued submitters are unblocked by the
-// engine's closing context (they get ErrClosed from Submit's select).
+// engine's closing context (they get ErrClosed from Engine.await).
 func (q *shedQueue) close() {
 	q.mu.Lock()
 	q.closed = true

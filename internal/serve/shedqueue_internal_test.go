@@ -46,10 +46,3 @@ func TestShedQueueEWMAResetOnRecycle(t *testing.T) {
 		t.Fatalf("svcEWMA = %v after first post-recycle observation, want 2ms cold-start", got)
 	}
 }
-
-// Recycle on an engine without a shed queue (plain bounded channel) must
-// not panic.
-func TestRecycleWithoutShedQueue(t *testing.T) {
-	e := &Engine{}
-	e.Recycle()
-}

@@ -65,3 +65,26 @@ func TestRouterSwapRecyclesIdleShards(t *testing.T) {
 		rt.Close()
 	}
 }
+
+// TestRecycleWithoutShedding: Recycle on an engine whose queue does not
+// shed still replaces the instance before the next request, and that
+// request is served by the replacement.
+func TestRecycleWithoutShedding(t *testing.T) {
+	eng, err := serve.New(&stubServer{}, fo.FailureOblivious,
+		serve.WithPoolSize(1), serve.WithQueueDepth(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.Recycle()
+	resp, err := eng.Submit(nil, servers.Request{Op: "ok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.OK() {
+		t.Fatalf("request after Recycle = %v, want OK", resp)
+	}
+	if st := eng.Stats(); st.Recycles != 1 || st.Served != 1 {
+		t.Errorf("recycles/served = %d/%d, want 1/1", st.Recycles, st.Served)
+	}
+}
